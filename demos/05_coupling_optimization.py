@@ -40,10 +40,10 @@ print("=== Efficiency landscape around the headline design point ===")
 grid = SweepGrid(
     r_values=(0.9, 0.95, 0.98, 0.99), rho_values=(0.999, 0.9999, 1.0), a=A
 )
-print("r1,r2,rho,a,eta,tau,phi,quad_err")
+print("r1,r2,rho,a,eta,tau,phi,truncation_bound")
 for row in sweep_efficiencies(grid):
     print(f"{row.r1:g},{row.r2:g},{row.rho:g},{row.a:g},"
-          f"{row.eta:.6g},{row.tau:.6g},{row.phi:.6g},{row.quad_err:.3g}")
+          f"{row.eta:.6g},{row.tau:.6g},{row.phi:.6g},{row.truncation_bound:.3g}")
 print()
 print("Symmetric coupling wins because tau depends on the couplings only")
 print("through (1 - r1)(1 - r2) once the loop feedback rho sqrt(r1 r2) is")

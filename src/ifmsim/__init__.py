@@ -27,7 +27,6 @@ from .optimize import (
     optimize_coupling,
     sweep_efficiencies,
 )
-from .quadrature import QuadratureConvergenceError, adaptive_simpson
 from .resonator import (
     DeviceParams,
     SpectralResponse,
@@ -45,7 +44,7 @@ from .schemes import (
     two_cavity_scheme,
     zeno_scheme,
 )
-from .wavepacket import EfficiencyReport, WavePacketSpec, compute_phi, efficiencies, energy_ratios
+from .wavepacket import EfficiencyReport, WavePacketSpec, compute_phi, efficiencies
 
 __version__ = "0.1.0"
 
@@ -61,9 +60,6 @@ __all__ = [
     "EfficiencyReport",
     "compute_phi",
     "efficiencies",
-    "energy_ratios",
-    "QuadratureConvergenceError",
-    "adaptive_simpson",
     "ZenoParams",
     "SchemeResult",
     "elitzur_vaidman",

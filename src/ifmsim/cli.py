@@ -3,8 +3,8 @@
 Every command is deterministic given its full flag set (including the seed),
 numeric output is locale-independent with a controllable number of
 significant digits, and single-run reports are JSON while sweeps are CSV.
-Exit codes: 0 success, 2 validation, 3 quadrature failure, 4 I/O,
-5 non-identifiability, 6 infeasible objective.
+Exit codes: 0 success, 2 validation, 4 I/O, 5 non-identifiability,
+6 infeasible objective.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -36,17 +35,15 @@ from .optimize import (
     optimize_coupling,
     sweep_efficiencies,
 )
-from .quadrature import QuadratureConvergenceError
 from .resonator import DeviceParams
 from .schemes import ZenoParams, elitzur_vaidman, resonator_opaque_scheme, two_cavity_scheme, zeno_scheme
-from .wavepacket import WavePacketSpec, efficiencies
+from .wavepacket import efficiencies
 
 SCHEMA_VERSION = "1"
-CSV_HEADER = "r1,r2,rho,a,eta,tau,phi,quad_err"
+CSV_HEADER = "r1,r2,rho,a,eta,tau,phi,truncation_bound"
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
-EXIT_QUADRATURE = 3
 EXIT_IO = 4
 EXIT_NON_IDENTIFIABLE = 5
 EXIT_INFEASIBLE = 6
@@ -94,10 +91,6 @@ _DEVICE_OPTS = [
     ("--rho", float, 0.9999, "round-trip amplitude survival factor (default 0.9999)"),
     ("--a", float, 500.0, "coherence ratio (default 500)"),
 ]
-_QUAD_OPTS = [
-    ("--x-max", float, 8.0, "detuning integration halfwidth (default 8)"),
-    ("--tol", float, 1e-8, "relative quadrature tolerance (default 1e-8)"),
-]
 _OUTPUT_OPTS = [
     ("--format", _conv_format, "text", "output format: text or json (default text)"),
     ("--precision", int, 6, "significant digits in numeric output (default 6)"),
@@ -105,15 +98,12 @@ _OUTPUT_OPTS = [
 ]
 
 _OPTIONS = {
-    "efficiency": _DEVICE_OPTS + _QUAD_OPTS + _OUTPUT_OPTS,
+    "efficiency": _DEVICE_OPTS + _OUTPUT_OPTS,
     "sweep": [
         ("--r-range", _conv_pair, [0.9, 0.999], "coupling range LO HI (default 0.9 0.999)"),
         ("--rho-range", _conv_pair, [0.999, 1.0], "loss-factor range LO HI (default 0.999 1.0)"),
         ("--steps", int, 3, "grid points per axis (default 3)"),
         ("--a", float, 500.0, "coherence ratio (default 500)"),
-    ]
-    + _QUAD_OPTS
-    + [
         ("--precision", int, 6, "significant digits in numeric output (default 6)"),
         ("--out", str, None, "write the CSV to this path instead of stdout"),
     ],
@@ -132,7 +122,6 @@ _OPTIONS = {
         ("--seed", int, 1, "random seed (default 1)"),
         ("--det-eff", float, 1.0, "detector efficiency in (0, 1] (default 1)"),
     ]
-    + _QUAD_OPTS
     + _OUTPUT_OPTS,
     "estimate-gray": [
         ("--stats", str, None, "JSON file with trial counts (e.g. a simulate report)"),
@@ -141,7 +130,6 @@ _OPTIONS = {
     ]
     + _DEVICE_OPTS
     + [("--det-eff", float, 1.0, "detector efficiency in (0, 1] (default 1)")]
-    + _QUAD_OPTS
     + _OUTPUT_OPTS,
     "optimize": [
         ("--rho", float, 0.9999, "round-trip amplitude survival factor (default 0.9999)"),
@@ -151,7 +139,6 @@ _OPTIONS = {
         ("--eta-floor", float, None, "eta floor for the tau-floor objective"),
         ("--verify", _conv_bool, False, "cross-check against a fine brute-force grid"),
     ]
-    + _QUAD_OPTS
     + _OUTPUT_OPTS,
 }
 
@@ -169,8 +156,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ifmsim",
         description="Interaction-free object detection with a lossy ring resonator.",
-        epilog="The IFM_THREADS environment variable caps internal parallelism; "
-        "this implementation evaluates serially, so any positive cap is honored.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, options in _OPTIONS.items():
@@ -290,17 +275,13 @@ def _device(opt) -> DeviceParams:
     return DeviceParams(r1=opt["r1"], r2=opt["r2"], rho=opt["rho"], a=opt["a"])
 
 
-def _packet(opt) -> WavePacketSpec:
-    return WavePacketSpec(integration_halfwidth=opt["x_max"], rel_tolerance=opt["tol"])
-
-
 def cmd_efficiency(opt) -> int:
-    report = efficiencies(_device(opt), _packet(opt))
+    report = efficiencies(_device(opt))
     results = {
         "eta": report.eta,
         "tau": report.tau,
         "phi": report.phi,
-        "quadrature_error": report.quadrature_error,
+        "truncation_bound": report.truncation_bound,
     }
     _emit_report("efficiency", opt, results)
     return EXIT_OK
@@ -317,11 +298,11 @@ def cmd_sweep(opt) -> int:
         rho_values=tuple(np.linspace(rho_lo, rho_hi, steps)),
         a=opt["a"],
     )
-    rows = sweep_efficiencies(grid, _packet(opt))
+    rows = sweep_efficiencies(grid)
     p = opt["precision"]
     lines = [CSV_HEADER]
     for row in rows:
-        cells = (row.r1, row.r2, row.rho, row.a, row.eta, row.tau, row.phi, row.quad_err)
+        cells = (row.r1, row.r2, row.rho, row.a, row.eta, row.tau, row.phi, row.truncation_bound)
         lines.append(",".join(f"{c:.{p}g}" for c in cells))
     _emit("\n".join(lines) + "\n", opt["out"])
     return EXIT_OK
@@ -387,10 +368,9 @@ def _parse_object(value: str) -> ObjectModel:
 
 def cmd_simulate(opt) -> int:
     params = _device(opt)
-    spec = _packet(opt)
     target = _parse_object(opt["object"])
-    dist = outcome_distribution(params, spec, target, opt["det_eff"])
-    stats = run_trials(params, spec, target, opt["det_eff"], opt["trials"], opt["seed"])
+    dist = outcome_distribution(params, None, target, opt["det_eff"])
+    stats = run_trials(params, None, target, opt["det_eff"], opt["trials"], opt["seed"])
     counts = stats.to_dict()["counts"]
     n = stats.n_trials
     results = {
@@ -448,7 +428,7 @@ def cmd_estimate_gray(opt) -> int:
         else _counts_from_file(opt["stats"])
     )
     stats = TrialStatistics(counts=counts, n_trials=sum(counts.values()), seed=0)
-    g_hat, ci = estimate_grayness(stats, _device(opt), _packet(opt), opt["det_eff"])
+    g_hat, ci = estimate_grayness(stats, _device(opt), None, opt["det_eff"])
     results = {"g_hat": g_hat, "ci95": [ci[0], ci[1]], "n_trials": stats.n_trials}
     _emit_report("estimate_gray", opt, results)
     return EXIT_OK
@@ -465,12 +445,11 @@ def _optimum_dict(optimum: Optimum) -> dict:
 
 def cmd_optimize(opt) -> int:
     objective = _OBJECTIVES[_conv_objective(opt["objective"])]
-    spec = _packet(opt)
-    found = optimize_coupling(opt["rho"], opt["a"], objective, opt["eta_floor"], spec)
+    found = optimize_coupling(opt["rho"], opt["a"], objective, opt["eta_floor"])
     results = _optimum_dict(found)
     if opt["verify"]:
         oracle = brute_force_coupling(
-            opt["rho"], opt["a"], objective, opt["eta_floor"], spec,
+            opt["rho"], opt["a"], objective, opt["eta_floor"],
             center=(found.r1_star, found.r2_star),
         )
         results["oracle"] = _optimum_dict(oracle)
@@ -489,27 +468,11 @@ _DISPATCH = {
 }
 
 
-def _check_thread_cap() -> None:
-    cap = os.environ.get("IFM_THREADS")
-    if cap is None:
-        return
-    try:
-        value = int(cap)
-    except ValueError:
-        raise ValueError(f"IFM_THREADS must be a positive integer, got {cap!r}") from None
-    if value < 1:
-        raise ValueError(f"IFM_THREADS must be a positive integer, got {cap!r}")
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        _check_thread_cap()
         opt = _resolve(args, args.command)
         return _DISPATCH[args.command](opt)
-    except QuadratureConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_QUADRATURE
     except NonIdentifiableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NON_IDENTIFIABLE

@@ -5,8 +5,8 @@ the photon is absorbed somewhere). An object of per-pass intensity
 transmittance ``g`` (grayness) sitting in the loop multiplies the round-trip
 amplitude survival by ``sqrt(g)``, so the exact spectral response applies
 with ``rho_eff = rho * sqrt(g)``; ``g = 1`` is the empty resonator and
-``g = 0`` the opaque-object limit, where the outcome triple reduces to the
-closed form {r1, r2 (1 - r1), (1 - r1)(1 - r2)} with no quadrature at all.
+``g = 0`` the opaque-object limit, where ``phi = 1`` and the outcome triple
+reduces to the closed form {r1, r2 (1 - r1), (1 - r1)(1 - r2)}.
 
 The per-round-trip intensity budget orders the loss channels object-first:
 the object removes the fraction ``1 - g`` and the remaining faces remove
@@ -29,7 +29,7 @@ from enum import Enum
 
 import numpy as np
 
-from .resonator import DeviceParams
+from .resonator import DeviceParams, real_number
 from .search import golden_section_max
 from .wavepacket import WavePacketSpec, efficiencies
 
@@ -78,9 +78,10 @@ class ObjectModel:
     grayness: float
 
     def __post_init__(self):
-        g = self.grayness
-        if not (isinstance(g, (int, float)) and math.isfinite(g) and 0.0 <= g <= 1.0):
+        g = real_number("grayness", self.grayness)
+        if not (math.isfinite(g) and 0.0 <= g <= 1.0):
             raise ValueError(f"grayness must lie in [0, 1], got {g!r}")
+        object.__setattr__(self, "grayness", g)
 
     @classmethod
     def absent(cls) -> "ObjectModel":
@@ -121,8 +122,8 @@ class TrialStatistics:
 
 
 def _validate_efficiency(detector_efficiency: float) -> None:
-    e = detector_efficiency
-    if not (isinstance(e, (int, float)) and math.isfinite(e) and 0.0 < e <= 1.0):
+    e = real_number("detector_efficiency", detector_efficiency)
+    if not (math.isfinite(e) and 0.0 < e <= 1.0):
         raise ValueError(f"detector_efficiency must lie in (0, 1], got {e!r}")
 
 
@@ -157,8 +158,8 @@ def outcome_distribution(
         hit = undetected * (w_hit / w_sum)
         lost = undetected * (w_lost / w_sum)
     else:
-        # g = 1 with a lossless ring: eta = tau, so the residual is pure
-        # quadrature noise; park it in Lost to keep the total at 1.
+        # g = 1 with a lossless ring: eta = tau exactly, so nothing is
+        # undetected; Lost takes the (zero) residual.
         hit = 0.0
         lost = undetected
 
@@ -187,6 +188,8 @@ def run_trials(
     """
     if not (isinstance(n_trials, (int, np.integer)) and n_trials >= 1):
         raise ValueError(f"n_trials must be a positive integer, got {n_trials!r}")
+    if isinstance(seed, bool) or not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     dist = outcome_distribution(params, spec, target, detector_efficiency)
     probs = np.array([dist[o] for o in _OUTCOME_ORDER])
     cum = np.cumsum(probs)
@@ -230,6 +233,9 @@ def estimate_grayness(
     ------
     NonIdentifiableError
         If the outcome probabilities do not respond to g at these parameters.
+    ValueError
+        If the counts include an outcome the model gives zero probability at
+        every g, such as NoDetection with ``detector_efficiency = 1``.
     """
     if stats.n_trials < 100:
         raise ValueError(f"need at least 100 trials to estimate grayness, got {stats.n_trials}")
@@ -253,7 +259,16 @@ def estimate_grayness(
     def loglike(g: float) -> float:
         return _log_likelihood(counts, probs_at(g))
 
-    g_hat, _ = golden_section_max(loglike, 0.0, 1.0, tol=1e-6)
+    g_hat, best = golden_section_max(loglike, 0.0, 1.0, tol=1e-6)
+    if best == -math.inf:
+        # Outcome probabilities vanish only at g = 0, at g = 1, or at every g,
+        # and the search never probes the ends, so no g can explain the counts.
+        impossible = [o.value for o, n_k, p_k in zip(_OUTCOME_ORDER, counts, probs_at(g_hat))
+                      if n_k > 0 and p_k <= 0.0]
+        raise ValueError(
+            f"the counts are impossible at every grayness: {', '.join(impossible)} "
+            "cannot occur at these parameters"
+        )
 
     # Observed information by a central second difference; shift the stencil
     # inward when the estimate sits at a boundary.

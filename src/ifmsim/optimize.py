@@ -2,11 +2,12 @@
 
 The two couplings enter the efficiencies only through the prefactors
 (1 - r1)(1 - rho^2 r2) and (1 - r1)(1 - r2) and through the feedback
-amplitude rho sqrt(r1 r2) inside the resonance integral, so a coarse grid
-scan with the integral memoized by feedback value is cheap. The scan is
-followed by coordinate-wise golden-section refinement; the solver tracks the
-best point it has actually evaluated, which guarantees monotone improvement
-over the grid stage and keeps the answer strictly inside the admissible box.
+amplitude rho sqrt(r1 r2) inside the resonance integral. Each search
+memoizes that integral's series by feedback value, so the coarse grid scan
+is cheap. The scan is followed by coordinate-wise golden-section
+refinement; the solver tracks the best point it has actually evaluated,
+which guarantees monotone improvement over the grid stage and keeps the
+answer strictly inside the admissible box.
 """
 
 from __future__ import annotations
@@ -16,10 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import QuadratureConvergenceError
 from .resonator import DeviceParams
 from .search import golden_section_max
-from .wavepacket import WavePacketSpec, compute_phi
+from .wavepacket import WavePacketSpec, compute_phi, efficiencies
 
 __all__ = [
     "SweepGrid",
@@ -77,7 +77,7 @@ class SweepGrid:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One sweep cell; eta/tau/phi are NaN when the cell's quadrature failed."""
+    """One sweep cell, with the relative error bound of its ``phi``."""
 
     r1: float
     r2: float
@@ -86,7 +86,7 @@ class SweepRow:
     eta: float
     tau: float
     phi: float
-    quad_err: float
+    truncation_bound: float
 
 
 @dataclass(frozen=True)
@@ -103,25 +103,15 @@ def sweep_efficiencies(grid: SweepGrid, spec: WavePacketSpec | None = None) -> l
     """Evaluate the symmetric-coupling efficiencies over a (r, rho) grid.
 
     Rows come back in row-major order (r outer, rho inner) and two runs over
-    the same grid are bit-identical. A cell whose quadrature fails to
-    converge is recorded with NaN efficiencies and the achieved error, and
-    the sweep continues.
+    the same grid are bit-identical.
     """
     spec = spec if spec is not None else WavePacketSpec()
     rows = []
     for r in grid.r_values:
         for rho in grid.rho_values:
-            params = DeviceParams(r1=r, r2=r, rho=rho, a=grid.a)
-            try:
-                phi, err = compute_phi(params, spec)
-                eta = (1.0 - r) * (1.0 - rho**2 * r) * phi
-                tau = (1.0 - r) * (1.0 - r) * phi
-            except QuadratureConvergenceError as exc:
-                phi = eta = tau = float("nan")
-                err = exc.achieved_rel_error
-            rows.append(
-                SweepRow(r1=r, r2=r, rho=rho, a=grid.a, eta=eta, tau=tau, phi=phi, quad_err=err)
-            )
+            report = efficiencies(DeviceParams(r1=r, r2=r, rho=rho, a=grid.a), spec)
+            rows.append(SweepRow(r1=r, r2=r, rho=rho, a=grid.a, eta=report.eta, tau=report.tau,
+                                 phi=report.phi, truncation_bound=report.truncation_bound))
     return rows
 
 

@@ -17,6 +17,7 @@ pure: safe for unlimited concurrent invocation.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,19 @@ __all__ = [
     "partial_sum_reflected_amplitude",
     "spectral_response",
 ]
+
+
+def real_number(name: str, value) -> float:
+    """``value`` as a float; any real scalar (numpy ones included) but a bool.
+
+    Raises ValueError for bools and for anything that is not a real number.
+    """
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be a finite number, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -58,13 +72,15 @@ class DeviceParams:
     a: float = 500.0
 
     def __post_init__(self):
+        for name in ("r1", "r2", "rho", "a"):
+            object.__setattr__(self, name, real_number(name, getattr(self, name)))
         for name in ("r1", "r2"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and 0.0 < v < 1.0):
+            if not (math.isfinite(v) and 0.0 < v < 1.0):
                 raise ValueError(f"{name} must lie strictly inside (0, 1), got {v!r}")
-        if not (isinstance(self.rho, (int, float)) and math.isfinite(self.rho) and 0.0 <= self.rho <= 1.0):
+        if not (math.isfinite(self.rho) and 0.0 <= self.rho <= 1.0):
             raise ValueError(f"rho must lie in [0, 1], got {self.rho!r}")
-        if not (isinstance(self.a, (int, float)) and math.isfinite(self.a) and self.a > 0.0):
+        if not (math.isfinite(self.a) and self.a > 0.0):
             raise ValueError(f"a must be a positive finite number, got {self.a!r}")
 
     @property

@@ -1,7 +1,9 @@
 """Derivative-free 1-D maximization by golden-section search.
 
-Used where the objective rides on adaptive quadrature, whose noise floor
-makes finite differences unreliable; only function values are trusted.
+Used by the coupling search, whose floor-constrained objective is -inf
+wherever the floor fails, and by the grayness estimator, whose likelihood is
+-inf wherever an observed outcome is impossible. Only function values are
+compared, so neither needs derivatives or finite values everywhere.
 """
 
 from __future__ import annotations

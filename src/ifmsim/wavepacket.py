@@ -16,30 +16,55 @@ resonance integral ``phi``:
 
     eta = (1 - r1) (1 - rho^2 r2) phi
     tau = (1 - r1) (1 - r2) phi
-    phi = <1 / (1 - 2 rho sqrt(r1 r2) cos(x/a) + rho^2 r1 r2)>_w,
-          w(x) = exp(-x^2), x in [-x_max, x_max].
+    phi = <1 / (1 - 2 c cos(x/a) + c^2)>_w,   c = rho sqrt(r1 r2),
+          w(x) = exp(-x^2) / sqrt(pi) over the whole real line.
 
-``energy_ratios`` integrates the monochromatic fractions directly instead of
-going through the ``phi`` factorization, giving an internal cross-check path.
+Expanding the Poisson kernel, ``1 / (1 - 2c cos psi + c^2) =
+(1 - c^2)^-1 sum_n c^|n| e^{i n psi}``, and averaging each harmonic against
+the Gaussian gives the exact series
+
+    phi = (1 + 2 sum_{n>=1} c^n exp(-n^2 / (4 a^2))) / (1 - c^2),
+
+which :func:`compute_phi` sums term by term. Its terms fall below e^-37
+after about ``min(37 / -ln c, 12.2 a)`` of them. When that count exceeds
+:data:`TERM_CAP`, the terms from the cap onward are summed by the
+Euler-Maclaurin formula, whose integral is closed-form through the scaled
+complementary error function. The work and memory are therefore bounded for
+every valid input, and each result carries a bound on its relative error.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .quadrature import adaptive_simpson
-from .resonator import DeviceParams, monochromatic_reflectance, monochromatic_transmittance
+from .resonator import DeviceParams, real_number
 
-__all__ = ["WavePacketSpec", "EfficiencyReport", "compute_phi", "efficiencies", "energy_ratios"]
+__all__ = ["WavePacketSpec", "EfficiencyReport", "TERM_CAP", "compute_phi", "efficiencies"]
+
+# Largest number of series terms summed one by one; an Euler-Maclaurin tail
+# takes the rest.
+TERM_CAP = 1 << 16
+
+# Terms whose exponent passes this are below e^-37 < 1e-16 of the first one.
+_EXPONENT_CUT = 37.0
+# Every term underflows to zero beyond this exponent; capping the Gaussian
+# rate here keeps exponent * term finite (zero) for tiny coherence ratios.
+_EXPONENT_MAX = 800.0
+_UNIT_ROUNDOFF = 2.0**-53
+# np.sum adds pairwise over blocks of 128 held in eight accumulators, so a
+# term passes through at most 25 + log2(n) roundings; 64 covers the cap.
+_SUM_ROUNDINGS = 64.0
+# Relative error of _erfcx: math.erfc is within a few ulp, exp within one.
+_ERFCX_ROUNDINGS = 16.0
+_SQRT_PI = math.sqrt(math.pi)
 
 
 @dataclass(frozen=True)
 class WavePacketSpec:
-    """Numerical settings for the wave-packet averages.
+    """Packet settings for the wave-packet averages.
 
     Attributes
     ----------
@@ -47,29 +72,16 @@ class WavePacketSpec:
         Coherence time over round-trip time. ``None`` (default) defers to
         ``DeviceParams.a`` of whatever device the spec is paired with; set a
         value for standalone use.
-    integration_halfwidth : float
-        Detuning cutoff ``x_max`` in units of the inverse coherence time;
-        must be >= 4 (the Gaussian tail beyond 4 contributes < 1e-7
-        relative). Default 8.
-    rel_tolerance : float
-        Requested relative quadrature error, in (0, 1e-3]. Default 1e-8.
     """
 
     coherence_ratio: float | None = None
-    integration_halfwidth: float = 8.0
-    rel_tolerance: float = 1e-8
 
     def __post_init__(self):
-        if self.coherence_ratio is not None and not (
-            math.isfinite(self.coherence_ratio) and self.coherence_ratio > 0.0
-        ):
-            raise ValueError(f"coherence_ratio must be positive, got {self.coherence_ratio!r}")
-        if not (math.isfinite(self.integration_halfwidth) and self.integration_halfwidth >= 4.0):
-            raise ValueError(
-                f"integration_halfwidth must be >= 4, got {self.integration_halfwidth!r}"
-            )
-        if not (0.0 < self.rel_tolerance <= 1e-3):
-            raise ValueError(f"rel_tolerance must lie in (0, 1e-3], got {self.rel_tolerance!r}")
+        if self.coherence_ratio is not None:
+            value = real_number("coherence_ratio", self.coherence_ratio)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"coherence_ratio must be positive, got {self.coherence_ratio!r}")
+            object.__setattr__(self, "coherence_ratio", value)
 
 
 @dataclass(frozen=True)
@@ -77,63 +89,104 @@ class EfficiencyReport:
     """Wave-packet efficiencies and the resonance integral they derive from.
 
     ``eta`` and ``tau`` satisfy the prefactor identities above by
-    construction; ``0 <= tau <= eta <= 1`` up to quadrature error, with
-    ``tau = eta`` exactly in the lossless case. ``quadrature_error`` is the
-    estimated relative error of the underlying integrals.
+    construction; ``0 <= tau <= eta``, and ``tau = eta`` exactly in the
+    lossless case. ``truncation_bound`` bounds the relative error of ``phi``,
+    series truncation and rounding included, against the exact integral at
+    the feedback amplitude ``rho * sqrt(r1 r2)`` as rounded to double
+    precision; ``eta`` and ``tau`` add the rounding of their prefactors.
     """
 
     eta: float
     tau: float
     phi: float
-    quadrature_error: float
+    truncation_bound: float
 
 
 def _resolve_a(params: DeviceParams, spec: WavePacketSpec) -> float:
     return spec.coherence_ratio if spec.coherence_ratio is not None else params.a
 
 
-def _initial_panels(x_max: float, a: float, coupling: float) -> int:
-    # Resolve the resonance line even when its width a*(1 - coupling) is
-    # small against the Gaussian window.
-    nodes = max(2001, math.ceil(20.0 * x_max * max(1.0, 3.0 / (a * (1.0 - coupling)))))
-    return max(nodes // 2, 1)
+def _erfcx(z: float) -> float:
+    """Scaled complementary error function ``exp(z^2) erfc(z)`` for ``z >= 0``."""
+    if z < 8.0:
+        # Split z^2 = zh^2 + zl (2 zh + zl) with zh^2 exact, so exp(z^2)
+        # carries no error from rounding z^2 itself.
+        zh = math.floor(z * 4096.0) / 4096.0
+        zl = z - zh
+        return math.exp(zh * zh) * math.exp(zl * (2.0 * zh + zl)) * math.erfc(z)
+    # Asymptotic series. At z >= 8 its terms shrink until k = 64 and fall
+    # below 1e-17 well before that; the first omitted term bounds the error.
+    w = 0.5 / z / z
+    term = total = 1.0
+    for k in range(1, 65):
+        term *= -(2 * k - 1) * w
+        total += term
+        if abs(term) < 1e-17:
+            break
+    return total / (z * _SQRT_PI)
 
 
-@lru_cache(maxsize=64)
-def _gaussian_weight_norm(x_max: float, rel_tol: float) -> tuple[float, float]:
-    panels = max(1000, math.ceil(20.0 * x_max) // 2)
-    return adaptive_simpson(lambda x: np.exp(-x * x), -x_max, x_max, rel_tol, panels)
+def _euler_maclaurin_tail(k: int, gamma: float, q: float, a: float) -> tuple[float, float, float]:
+    """Sum over n >= k of ``f(n) = exp(-gamma n - q n^2)``, with ``q = 1 / (4 a^2)``.
+
+    Returns the Euler-Maclaurin value (integral, f/2, and the f' and f'''
+    Bernoulli terms), a bound on its remainder, and the exponent at ``k``.
+    """
+    x_k = k * (gamma + k * q)
+    f_k = math.exp(-x_k)
+    s = gamma + 2.0 * k * q  # -f'/f at k
+    h = 2.0 * q  # derivative of -f'/f
+    # Completing the square: int_k^inf f = f(k) a sqrt(pi) erfcx((k + 2 a^2 gamma) / (2a)).
+    integral = f_k * a * (_SQRT_PI * _erfcx(0.5 * k / a + a * gamma))
+    value = integral + f_k * (0.5 + s / 12.0 + s * (3.0 * h - s * s) / 720.0)
+    # |remainder| <= (1/720) int_k^inf |f''''| and |f''''| <= (s^2 + 3h)^2 f.
+    # The moments M_j = int_k^inf s^j f obey M_{j+1} = s(k)^j f(k) + j h M_{j-1}.
+    m2 = s * f_k + h * integral
+    m4 = s**3 * f_k + 3.0 * h * m2
+    remainder = (m4 + 6.0 * h * m2 + 9.0 * h * h * integral) / 720.0
+    return value, remainder, x_k
 
 
 def compute_phi(params: DeviceParams, spec: WavePacketSpec | None = None) -> tuple[float, float]:
-    """Weighted resonance integral ``phi`` and its relative error estimate.
+    """Weighted resonance integral ``phi`` and a bound on its relative error.
 
     ``phi`` is the Gaussian-weighted average of the intracavity buildup
     factor; it equals 1 when the ring feedback vanishes (that case is
     returned in closed form with zero error) and approaches
-    ``1 / (1 - rho sqrt(r1 r2))^2`` as the coherence ratio grows.
-
-    Raises
-    ------
-    QuadratureConvergenceError
-        If the requested tolerance cannot be met within the node budget.
+    ``1 / (1 - rho sqrt(r1 r2))^2`` as the coherence ratio grows. The bound
+    covers truncation and rounding; see :class:`EfficiencyReport`. No more
+    than :data:`TERM_CAP` terms are held in memory at once.
     """
     spec = spec if spec is not None else WavePacketSpec()
     c = params.feedback_amplitude
     if c == 0.0:
         return 1.0, 0.0
     a = _resolve_a(params, spec)
-    x_max = spec.integration_halfwidth
-    c2 = c * c
+    gamma = -math.log(c)
+    q = min((0.5 / a) * (0.5 / a), _EXPONENT_MAX)
+    wanted = min(_EXPONENT_CUT / gamma, 2.0 * math.sqrt(_EXPONENT_CUT) * a)
+    use_tail = wanted > TERM_CAP
+    n_terms = TERM_CAP - 1 if use_tail else max(1, math.ceil(wanted))
 
-    def integrand(x):
-        return np.exp(-x * x) / (1.0 - 2.0 * c * np.cos(x / a) + c2)
+    n = np.arange(1.0, n_terms + 1.0)
+    x = n * (gamma + n * q)  # term n is exp(-x)
+    terms = np.exp(-x)
+    head = float(terms.sum())
+    # The exponent carries up to 6 roundings, so term n is off by 6 u x_n + 2 u.
+    head_rounding = 6.0 * float((x * terms).sum()) + (_SUM_ROUNDINGS + 2.0) * head
+    if use_tail:
+        rest, truncation, x_k = _euler_maclaurin_tail(TERM_CAP, gamma, q, a)
+        rest_rounding = (6.0 * x_k + _ERFCX_ROUNDINGS + 9.0) * rest
+    else:
+        # f decreases and is log-concave: sum_{n>N} f(n) <= int_N^inf f <= f(N) / (-f'/f)(N).
+        rest = rest_rounding = 0.0
+        truncation = float(terms[-1]) / (gamma + 2.0 * n_terms * q)
 
-    num, num_err = adaptive_simpson(
-        integrand, -x_max, x_max, spec.rel_tolerance, _initial_panels(x_max, a, c)
-    )
-    den, den_err = _gaussian_weight_norm(x_max, spec.rel_tolerance)
-    return num / den, num_err + den_err
+    total = 1.0 + 2.0 * (head + rest)
+    phi = total / ((1.0 - c) * (1.0 + c))  # 1 - c^2 without cancellation
+    rounding = _UNIT_ROUNDOFF * (head_rounding + rest_rounding)
+    bound = 2.0 * (truncation + rounding) / total + 8.0 * _UNIT_ROUNDOFF
+    return phi, bound
 
 
 def efficiencies(params: DeviceParams, spec: WavePacketSpec | None = None) -> EfficiencyReport:
@@ -151,32 +204,7 @@ def efficiencies(params: DeviceParams, spec: WavePacketSpec | None = None) -> Ef
         With ``eta = (1 - r1)(1 - rho^2 r2) phi`` and
         ``tau = (1 - r1)(1 - r2) phi``.
     """
-    phi, err = compute_phi(params, spec)
+    phi, bound = compute_phi(params, spec)
     eta = (1.0 - params.r1) * (1.0 - params.rho**2 * params.r2) * phi
     tau = (1.0 - params.r1) * (1.0 - params.r2) * phi
-    return EfficiencyReport(eta=eta, tau=tau, phi=phi, quadrature_error=err)
-
-
-def energy_ratios(params: DeviceParams, spec: WavePacketSpec | None = None) -> tuple[float, float]:
-    """Reflected and transmitted energy fractions by direct spectral averaging.
-
-    Integrates ``monochromatic_reflectance`` and ``monochromatic_transmittance``
-    against the packet weight ``exp(-x^2)`` without using the ``phi``
-    factorization, so the pair (I_r/I_i, I_t/I_i) independently cross-checks
-    ``efficiencies`` through I_r/I_i = 1 - eta and I_t/I_i = tau.
-    """
-    spec = spec if spec is not None else WavePacketSpec()
-    a = _resolve_a(params, spec)
-    x_max = spec.integration_halfwidth
-    panels = _initial_panels(x_max, a, params.feedback_amplitude)
-
-    num_r, _ = adaptive_simpson(
-        lambda x: np.exp(-x * x) * monochromatic_reflectance(params, x / a),
-        -x_max, x_max, spec.rel_tolerance, panels,
-    )
-    num_t, _ = adaptive_simpson(
-        lambda x: np.exp(-x * x) * monochromatic_transmittance(params, x / a),
-        -x_max, x_max, spec.rel_tolerance, panels,
-    )
-    den, _ = _gaussian_weight_norm(x_max, spec.rel_tolerance)
-    return num_r / den, num_t / den
+    return EfficiencyReport(eta=eta, tau=tau, phi=phi, truncation_bound=bound)

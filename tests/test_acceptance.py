@@ -16,12 +16,10 @@ from ifmsim import (
     DeviceParams,
     ObjectModel,
     TrialOutcome,
-    WavePacketSpec,
     brute_force_coupling,
     compute_phi,
     efficiencies,
     elitzur_vaidman,
-    energy_ratios,
     estimate_grayness,
     monochromatic_reflectance,
     monochromatic_transmittance,
@@ -33,6 +31,8 @@ from ifmsim import (
     zeno_scheme,
 )
 from ifmsim.schemes import ZenoParams
+
+from _oracles import dense_energy_ratios
 
 BENCH = DeviceParams(r1=0.98, r2=0.98, rho=0.9999, a=500.0)
 
@@ -88,17 +88,17 @@ def test_criterion_05_energy_conservation():
         total = monochromatic_reflectance(params, psi) + monochromatic_transmittance(params, psi)
         worst_mono = max(worst_mono, abs(total - 1.0))
 
-    spec = WavePacketSpec()
     worst_packet = 0.0
     for _ in range(20):
-        params = DeviceParams(
-            rng.uniform(0.2, 0.99), rng.uniform(0.2, 0.99), 1.0, a=rng.uniform(50.0, 2e3)
-        )
-        i_r, i_t = energy_ratios(params, spec)
-        worst_packet = max(worst_packet, abs(i_r + i_t - 1.0))
-    ok = worst_mono <= 1e-12 and worst_packet <= 2.0 * spec.rel_tolerance
+        r1, r2, a = rng.uniform(0.2, 0.99), rng.uniform(0.2, 0.99), rng.uniform(50.0, 2e3)
+        rep = efficiencies(DeviceParams(r1, r2, 1.0, a=a))
+        # Direct spectral averages of R and T, independent of the phi series.
+        i_r, i_t = dense_energy_ratios(r1, r2, 1.0, a, n_nodes=200_001)
+        worst_packet = max(worst_packet, abs(i_r + i_t - 1.0),
+                           abs((1.0 - rep.eta) - i_r), abs(rep.tau - i_t))
+    ok = worst_mono <= 1e-12 and worst_packet <= 2e-8
     _report(5, f"energy conservation: monochromatic worst {worst_mono:.2e} <= 1e-12, "
-               f"integrated worst {worst_packet:.2e} <= {2.0 * spec.rel_tolerance:.0e}", ok)
+               f"integrated worst {worst_packet:.2e} <= 2e-08", ok)
 
 
 def test_criterion_06_geometric_series_oracle():

@@ -6,7 +6,6 @@ import sys
 import pytest
 
 import ifmsim.cli as cli
-from ifmsim.quadrature import QuadratureConvergenceError
 
 
 def run_cli(argv, capsys):
@@ -56,14 +55,22 @@ def test_efficiency_validation_exit_code(capsys):
     assert "error" in err
 
 
-def test_quadrature_failure_exit_code(capsys, monkeypatch):
-    def explode(*args, **kwargs):
-        raise QuadratureConvergenceError("stalled", achieved_rel_error=1e-5)
+def test_efficiency_answers_narrow_line_corner(capsys):
+    """a (1 - c) = 5e-7: the term count is bounded, and the bound is reported."""
+    rc, out, _ = run_cli(
+        ["efficiency", "--r1", "0.999999999", "--r2", "0.999999999", "--rho", "1",
+         "--a", "500", "--format", "json"],
+        capsys,
+    )
+    assert rc == 0
+    results = json.loads(out)["results"]
+    assert results["eta"] == results["tau"]
+    assert 0.0 < results["truncation_bound"] < 1e-13
 
-    monkeypatch.setattr(cli, "efficiencies", explode)
-    rc, _, err = run_cli(["efficiency"], capsys)
-    assert rc == 3
-    assert "stalled" in err
+
+@pytest.mark.parametrize("flag", ["--x-max", "--tol"])
+def test_quadrature_flags_are_gone(capsys, flag):
+    assert run_cli(["efficiency", flag, "8"], capsys)[0] == 2
 
 
 def test_sweep_writes_csv(tmp_path, capsys):
@@ -73,7 +80,7 @@ def test_sweep_writes_csv(tmp_path, capsys):
     rc, _, _ = run_cli(argv, capsys)
     assert rc == 0
     lines = out_file.read_text().splitlines()
-    assert lines[0] == "r1,r2,rho,a,eta,tau,phi,quad_err"
+    assert lines[0] == "r1,r2,rho,a,eta,tau,phi,truncation_bound"
     assert len(lines) == 10
     first_bytes = out_file.read_bytes()
     rc, _, _ = run_cli(argv, capsys)
@@ -217,6 +224,12 @@ def test_estimate_gray_non_identifiable_exit_code(capsys):
     assert "insensitive" in err
 
 
+def test_estimate_gray_impossible_counts_exit_code(capsys):
+    rc, _, err = run_cli(["estimate-gray", "--counts", "900,50,0,0,50", "--det-eff", "1"], capsys)
+    assert rc == 2
+    assert "no_detection" in err
+
+
 def test_optimize_symmetric_with_oracle(capsys):
     rc, out, _ = run_cli(
         ["optimize", "--rho", "0.9999", "--a", "500", "--objective", "max-min",
@@ -262,15 +275,6 @@ def test_config_file_unknown_key(tmp_path, capsys):
 def test_config_file_missing(capsys):
     rc, _, _ = run_cli(["efficiency", "--config", "/does/not/exist.cfg"], capsys)
     assert rc == 2
-
-
-def test_thread_cap_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("IFM_THREADS", "4")
-    assert run_cli(["efficiency"], capsys)[0] == 0
-    monkeypatch.setenv("IFM_THREADS", "zero")
-    assert run_cli(["efficiency"], capsys)[0] == 2
-    monkeypatch.setenv("IFM_THREADS", "0")
-    assert run_cli(["efficiency"], capsys)[0] == 2
 
 
 def test_precision_flag_controls_digits(capsys):

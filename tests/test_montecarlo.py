@@ -24,6 +24,16 @@ def test_object_model_validation(bad):
         ObjectModel(bad)
 
 
+def test_object_model_rejects_bool():
+    with pytest.raises(ValueError, match="real number"):
+        ObjectModel(True)
+
+
+def test_object_model_accepts_numpy_scalar():
+    target = ObjectModel(np.float32(0.5))
+    assert target.grayness == 0.5 and type(target.grayness) is float
+
+
 def test_object_model_helpers():
     assert ObjectModel.absent().grayness == 1.0
     assert ObjectModel.opaque().grayness == 0.0
@@ -121,6 +131,11 @@ def test_run_trials_counts_bookkeeping():
         run_trials(BENCH, None, ObjectModel.absent(), 1.0, 0, seed=5)
 
 
+def test_run_trials_rejects_negative_seed():
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        run_trials(BENCH, None, ObjectModel.absent(), 1.0, 10, seed=-1)
+
+
 def test_empirical_frequencies_converge():
     n = 1_000_000
     stats = run_trials(BENCH, None, ObjectModel.opaque(), 1.0, n, seed=99)
@@ -193,6 +208,22 @@ def test_grayness_not_identifiable_when_nothing_couples():
     stats = TrialStatistics(counts=counts, n_trials=1000, seed=0)
     with pytest.raises(NonIdentifiableError):
         estimate_grayness(stats, sealed)
+
+
+@pytest.mark.parametrize(
+    "params,det_eff,outcome",
+    [
+        (BENCH, 1.0, TrialOutcome.NO_DETECTION),  # ideal detectors never miss
+        (DeviceParams(0.98, 0.98, 1.0, 500.0), 0.9, TrialOutcome.LOST),  # no loss to lose to
+    ],
+)
+def test_grayness_impossible_counts_raise(params, det_eff, outcome):
+    counts = {o: 0 for o in TrialOutcome}
+    counts[TrialOutcome.REFLECTED_DETECTOR] = 900
+    counts[outcome] = 100
+    stats = TrialStatistics(counts=counts, n_trials=1000, seed=0)
+    with pytest.raises(ValueError, match=f"impossible at every grayness: {outcome.value}"):
+        estimate_grayness(stats, params, None, det_eff)
 
 
 def test_detector_efficiency_validation():

@@ -1,11 +1,11 @@
+"""Self-tests of the adaptive Simpson oracle in ``_oracles``."""
+
 import math
 
 import numpy as np
 import pytest
 
-from ifmsim import QuadratureConvergenceError, adaptive_simpson
-
-from _oracles import gaussian_window_integral
+from _oracles import QuadratureConvergenceError, adaptive_simpson, gaussian_window_integral
 
 
 def test_gaussian_window():

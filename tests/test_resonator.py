@@ -41,6 +41,17 @@ def test_device_params_rejects_out_of_range(kwargs):
         DeviceParams(**kwargs)
 
 
+def test_device_params_rejects_bool():
+    with pytest.raises(ValueError, match="real number"):
+        DeviceParams(0.5, 0.5, rho=True)
+
+
+def test_device_params_accepts_numpy_scalars():
+    params = DeviceParams(np.float32(0.9), np.float64(0.8), np.float32(1.0), a=np.int64(500))
+    assert params == DeviceParams(float(np.float32(0.9)), 0.8, 1.0, a=500.0)
+    assert all(type(v) is float for v in (params.r1, params.r2, params.rho, params.a))
+
+
 def test_device_params_accepts_degenerate_loss():
     # rho = 0 is the opaque-object limit, rho = 1 the lossless one.
     assert DeviceParams(0.5, 0.5, 0.0).rho == 0.0
