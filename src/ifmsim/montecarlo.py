@@ -29,7 +29,7 @@ from enum import Enum
 
 import numpy as np
 
-from .resonator import DeviceParams, real_number
+from .resonator import MAX_COUNT, DeviceParams, real_number
 from .search import golden_section_max
 from .wavepacket import WavePacketSpec, efficiencies
 
@@ -235,10 +235,13 @@ def estimate_grayness(
         If the outcome probabilities do not respond to g at these parameters.
     ValueError
         If the counts include an outcome the model gives zero probability at
-        every g, such as NoDetection with ``detector_efficiency = 1``.
+        every g, such as NoDetection with ``detector_efficiency = 1``, or if
+        they total more than 2^53.
     """
     if stats.n_trials < 100:
         raise ValueError(f"need at least 100 trials to estimate grayness, got {stats.n_trials}")
+    if stats.n_trials > MAX_COUNT:
+        raise ValueError("counts must total at most 2^53 to be used exactly")
     _validate_efficiency(detector_efficiency)
 
     counts = np.array([stats.counts[o] for o in _OUTCOME_ORDER], dtype=float)

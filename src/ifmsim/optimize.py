@@ -1,13 +1,41 @@
-"""Design-space search over the coupling reflectivities and sweep generation.
+"""Exact coupling design over the coupling box, and efficiency sweeps.
 
-The two couplings enter the efficiencies only through the prefactors
+The couplings enter the efficiencies only through the prefactors
 (1 - r1)(1 - rho^2 r2) and (1 - r1)(1 - r2) and through the feedback
-amplitude rho sqrt(r1 r2) inside the resonance integral. Each search
-memoizes that integral's series by feedback value, so the coarse grid scan
-is cheap. The scan is followed by coordinate-wise golden-section
-refinement; the solver tracks the best point it has actually evaluated,
-which guarantees monotone improvement over the grid stage and keeps the
-answer strictly inside the admissible box.
+amplitude ``rho s`` of the resonance integral phi, where ``s = sqrt(r1 r2)``.
+Both objectives are solved from that structure over the box
+[lo, hi]^2 = [0.5001, 0.9998]^2, the achievable gap reflectivities
+(0.5, 0.9999) inset so that every answer lies strictly inside them.
+
+max-min (maximize min(eta, tau)) peaks at the lower corner (lo, lo) for
+every (rho, a), so its answer costs one :func:`efficiencies` call:
+
+1. ``1 - r2 <= 1 - rho^2 r2``, so ``tau <= eta`` and the objective is tau.
+2. phi is the average of ``1 / |1 - rho s e^{i theta}|^2`` over the wrapped
+   Gaussian ``theta = x / a``, whose Fourier coefficients are
+   ``e^{-n^2 / 4a^2}`` (see :mod:`ifmsim.wavepacket`). So tau is the average
+   of ``(1 - r1)(1 - r2) / |1 - rho s e^{i theta}|^2``.
+3. At a fixed product ``r1 r2 = s^2`` the denominator is fixed, and
+   ``(1 - r1)(1 - r2) = 1 + s^2 - (r1 + r2)`` is largest at ``r1 = r2``
+   (AM-GM).
+4. On the diagonal ``r1 = r2 = r``, the log-derivative in r of each term
+   has the sign of ``-[1 - rho cos theta + rho r (rho - cos theta)]``. The
+   bracket is smallest at ``cos theta = 1``, where it is
+   ``(1 - rho)(1 - rho r) >= 0``. Every term, and so tau, falls as r grows.
+
+tau-floor (maximize tau subject to ``eta >= eta_floor``) returns the corner
+whenever the corner's eta meets the floor, since the corner maximizes tau
+over the whole box. Otherwise, at a fixed s, phi is fixed and eta is concave
+in ``x = r1`` with its peak at ``x = rho s``, so the split of s that best
+meets the floor is ``x*(s) = clip(rho s, max(lo, s^2/hi), min(hi, s^2/lo))``.
+The search scans s upward from lo in steps of 0.005 for the first s whose
+split meets the floor, then bisects down to adjacent floats, keeping the
+feasible end. That the optimum lies at the smallest feasible s was seen on
+random lossy settings, and the answer has beaten whole-box grids there, but
+it is not proven. Nor is the feasible set of s proven to be an interval, so
+a feasible stretch narrower than the scan step could be missed.
+:class:`InfeasibleObjectiveError` means that at no scanned s, ``s = hi``
+included, does the eta-maximizing split meet the floor.
 """
 
 from __future__ import annotations
@@ -15,11 +43,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .resonator import DeviceParams
-from .search import golden_section_max
-from .wavepacket import WavePacketSpec, compute_phi, efficiencies
+from .wavepacket import EfficiencyReport, WavePacketSpec, efficiencies
 
 __all__ = [
     "SweepGrid",
@@ -36,13 +61,11 @@ __all__ = [
 MAX_MIN_ETA_TAU = "max_min_eta_tau"
 MAX_TAU_WITH_ETA_FLOOR = "max_tau_st_eta_floor"
 
-# Admissible coupling box: achievable gap reflectivities, slightly inset for
-# numerical headroom. Refinement stays _BOX_INSET inside the open box.
-_BOX_LO = 0.5
-_BOX_HI = 0.9999
-_BOX_INSET = 1e-4
-_COARSE_STEP = 0.005
-_REFINE_TOL = 1e-5
+# Coupling box, inset by 1e-4 from the achievable reflectivities (0.5, 0.9999).
+_LO = 0.5001
+_HI = 0.9998
+# Scan step in s = sqrt(r1 r2) for the first split that meets an eta floor.
+_S_STEP = 0.005
 
 
 class InfeasibleObjectiveError(RuntimeError):
@@ -115,64 +138,23 @@ def sweep_efficiencies(grid: SweepGrid, spec: WavePacketSpec | None = None) -> l
     return rows
 
 
-class _CouplingObjective:
-    """Evaluate an objective over (r1, r2), memoizing the resonance integral."""
-
-    def __init__(self, rho, a, objective, eta_floor, spec):
-        if not (math.isfinite(rho) and 0.0 < rho <= 1.0):
-            raise ValueError(f"rho must lie in (0, 1], got {rho!r}")
-        if not (math.isfinite(a) and a > 0.0):
-            raise ValueError(f"a must be positive, got {a!r}")
-        if objective not in (MAX_MIN_ETA_TAU, MAX_TAU_WITH_ETA_FLOOR):
-            raise ValueError(f"unknown objective {objective!r}")
-        if objective == MAX_TAU_WITH_ETA_FLOOR:
-            if eta_floor is None or not (0.0 < eta_floor < 1.0):
-                raise ValueError(f"eta_floor must lie in (0, 1), got {eta_floor!r}")
-        self.rho = rho
-        self.a = a
-        self.objective = objective
-        self.eta_floor = eta_floor
-        self.spec = spec if spec is not None else WavePacketSpec()
-        self._phi_cache: dict[float, float] = {}
-
-    def phi(self, r1: float, r2: float) -> float:
-        c = self.rho * math.sqrt(r1 * r2)
-        if c not in self._phi_cache:
-            params = DeviceParams(r1=r1, r2=r2, rho=self.rho, a=self.a)
-            self._phi_cache[c] = compute_phi(params, self.spec)[0]
-        return self._phi_cache[c]
-
-    def eta_tau(self, r1: float, r2: float) -> tuple[float, float]:
-        phi = self.phi(r1, r2)
-        eta = (1.0 - r1) * (1.0 - self.rho**2 * r2) * phi
-        tau = (1.0 - r1) * (1.0 - r2) * phi
-        return eta, tau
-
-    def score(self, r1: float, r2: float) -> float:
-        """Objective value; -inf marks a floor violation."""
-        eta, tau = self.eta_tau(r1, r2)
-        if self.objective == MAX_MIN_ETA_TAU:
-            return min(eta, tau)
-        return tau if eta >= self.eta_floor else -math.inf
+def _check_objective(rho, a, objective, eta_floor) -> None:
+    if not (math.isfinite(rho) and 0.0 < rho <= 1.0):
+        raise ValueError(f"rho must lie in (0, 1], got {rho!r}")
+    if not (math.isfinite(a) and a > 0.0):
+        raise ValueError(f"a must be positive, got {a!r}")
+    if objective not in (MAX_MIN_ETA_TAU, MAX_TAU_WITH_ETA_FLOOR):
+        raise ValueError(f"unknown objective {objective!r}")
+    if objective == MAX_TAU_WITH_ETA_FLOOR:
+        if eta_floor is None or not (0.0 < eta_floor < 1.0):
+            raise ValueError(f"eta_floor must lie in (0, 1), got {eta_floor!r}")
 
 
-class _BestTracker:
-    """Keep the best (value, point) seen, breaking ties toward smaller (r1, r2)."""
-
-    def __init__(self):
-        self.value = -math.inf
-        self.point = None
-
-    def offer(self, r1: float, r2: float, value: float) -> None:
-        if value > self.value or (value == self.value and self.point is not None and (r1, r2) < self.point):
-            self.value = value
-            self.point = (r1, r2)
-
-
-def _scan_grid(obj: _CouplingObjective, r1_values, r2_values, best: _BestTracker) -> None:
-    for r1 in r1_values:
-        for r2 in r2_values:
-            best.offer(float(r1), float(r2), obj.score(float(r1), float(r2)))
+def _score(report: EfficiencyReport, objective: str, eta_floor: float | None) -> float:
+    """Objective value of one design; -inf marks a floor violation."""
+    if objective == MAX_MIN_ETA_TAU:
+        return min(report.eta, report.tau)
+    return report.tau if report.eta >= eta_floor else -math.inf
 
 
 def optimize_coupling(
@@ -182,45 +164,53 @@ def optimize_coupling(
     eta_floor: float | None = None,
     spec: WavePacketSpec | None = None,
 ) -> Optimum:
-    """Search the coupling box for the best (r1, r2) under the named objective.
+    """Best (r1, r2) in the coupling box under the named objective.
 
-    A coarse scan at resolution 0.005 over (0.5, 0.9999)^2 is refined by
-    alternating golden-section passes on each coordinate to tolerance 1e-5.
-    Deterministic: identical inputs yield identical results, and equal-valued
-    candidates resolve to the lexicographically smallest pair.
+    Solved as the module docstring describes. A binding floor takes one
+    :func:`efficiencies` call per scanned s (at most 100) and about 45 for
+    the bisection. The objective value is that of :func:`efficiencies` at
+    the returned pair, and identical inputs give identical results.
 
     Raises
     ------
     InfeasibleObjectiveError
-        For the floor-constrained objective when no grid point is feasible.
+        For the floor-constrained objective when no scanned product
+        ``r1 r2`` has a split that meets the floor.
     """
-    obj = _CouplingObjective(rho, a, objective, eta_floor, spec)
-    coarse = _BOX_LO + _COARSE_STEP * np.arange(1, round((_BOX_HI - _BOX_LO) / _COARSE_STEP))
-    best = _BestTracker()
-    _scan_grid(obj, coarse, coarse, best)
-    if not math.isfinite(best.value):
+    _check_objective(rho, a, objective, eta_floor)
+
+    def at(r1: float, r2: float) -> EfficiencyReport:
+        return efficiencies(DeviceParams(r1=r1, r2=r2, rho=rho, a=a), spec)
+
+    corner = at(_LO, _LO)
+    if objective == MAX_MIN_ETA_TAU or corner.eta >= eta_floor:
+        return Optimum(_LO, _LO, _score(corner, objective, eta_floor), objective)
+
+    def split(s: float) -> tuple[float, float, EfficiencyReport]:
+        """The split of ``r1 r2 = s^2`` with the highest eta."""
+        r1 = min(max(rho * s, _LO, s * s / _HI), _HI, s * s / _LO)
+        r2 = min(max(s * s / r1, _LO), _HI)
+        return r1, r2, at(r1, r2)
+
+    s_lo = _LO  # infeasible: the corner is the only split of s = lo
+    for k in range(1, math.ceil((_HI - _LO) / _S_STEP) + 1):
+        s_hi = min(_LO + k * _S_STEP, _HI)
+        best = split(s_hi)
+        if best[2].eta >= eta_floor:
+            break
+        s_lo = s_hi
+    else:
         raise InfeasibleObjectiveError(
             f"no coupling pair reaches eta >= {eta_floor} at rho={rho}, a={a}"
         )
-
-    lo_in = _BOX_LO + _BOX_INSET
-    hi_in = _BOX_HI - _BOX_INSET
-    for _ in range(3):
-        r1, r2 = best.point
-        lo, hi = max(lo_in, r1 - _COARSE_STEP), min(hi_in, r1 + _COARSE_STEP)
-        golden_section_max(lambda x: _offer(best, obj, x, r2), lo, hi, _REFINE_TOL)
-        r1, r2 = best.point
-        lo, hi = max(lo_in, r2 - _COARSE_STEP), min(hi_in, r2 + _COARSE_STEP)
-        golden_section_max(lambda y: _offer(best, obj, r1, y), lo, hi, _REFINE_TOL)
-
-    r1, r2 = best.point
-    return Optimum(r1_star=r1, r2_star=r2, objective_value=best.value, objective_name=objective)
-
-
-def _offer(best: _BestTracker, obj: _CouplingObjective, r1: float, r2: float) -> float:
-    value = obj.score(r1, r2)
-    best.offer(r1, r2, value)
-    return value
+    while (s := 0.5 * (s_lo + s_hi)) not in (s_lo, s_hi):
+        cell = split(s)
+        if cell[2].eta >= eta_floor:
+            s_hi, best = s, cell
+        else:
+            s_lo = s
+    r1, r2, report = best
+    return Optimum(r1, r2, report.tau, objective)
 
 
 def brute_force_coupling(
@@ -236,21 +226,28 @@ def brute_force_coupling(
     """Exhaustive grid oracle for :func:`optimize_coupling`.
 
     Scans a square window (the whole box by default, or ``center`` +/-
-    ``halfwidth`` clipped to it) at fixed ``resolution`` and returns the best
-    cell. Intended as an independent cross-check of the refine stage.
+    ``halfwidth`` clipped to it) at fixed ``resolution``, scores every cell
+    by :func:`efficiencies`, and returns the first best cell in (r1, r2)
+    order. A grid rarely lands on the optimum, so its value may fall short
+    of the optimizer's; a value above it would show a fault in the optimizer.
     """
-    obj = _CouplingObjective(rho, a, objective, eta_floor, spec)
-    lo, hi = _BOX_LO + _BOX_INSET, _BOX_HI - _BOX_INSET
+    _check_objective(rho, a, objective, eta_floor)
+    lo, hi = _LO, _HI
     if center is not None:
         lo = max(lo, min(center) - halfwidth)
         hi = min(hi, max(center) + halfwidth)
     n = max(2, int(round((hi - lo) / resolution)) + 1)
-    values = np.linspace(lo, hi, n)
-    best = _BestTracker()
-    _scan_grid(obj, values, values, best)
-    if not math.isfinite(best.value):
+    step = (hi - lo) / (n - 1)
+    values = [lo + k * step for k in range(n)]
+
+    def score(r1: float, r2: float) -> float:
+        report = efficiencies(DeviceParams(r1=r1, r2=r2, rho=rho, a=a), spec)
+        return _score(report, objective, eta_floor)
+
+    value, r1, r2 = max(((score(x, y), x, y) for x in values for y in values),
+                        key=lambda cell: cell[0])
+    if value == -math.inf:
         raise InfeasibleObjectiveError(
             f"no coupling pair reaches eta >= {eta_floor} at rho={rho}, a={a}"
         )
-    r1, r2 = best.point
-    return Optimum(r1_star=r1, r2_star=r2, objective_value=best.value, objective_name=objective)
+    return Optimum(r1_star=r1, r2_star=r2, objective_value=value, objective_name=objective)

@@ -33,6 +33,11 @@ __all__ = [
 ]
 
 
+# The largest count a float holds exactly. The models compute with floats, so
+# larger cycle and trial counts are refused rather than rounded or overflowed.
+MAX_COUNT = 2**53
+
+
 def real_number(name: str, value) -> float:
     """``value`` as a float; any real scalar (numpy ones included) but a bool.
 

@@ -11,7 +11,10 @@ schemes can be compared side by side.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
+
+from .resonator import MAX_COUNT, real_number
 
 __all__ = [
     "ZenoParams",
@@ -30,23 +33,23 @@ class ZenoParams:
     ``alpha`` is the rotation per cycle in radians, in (0, pi/2]; ``n_cycles``
     is the number of passes. :meth:`from_alpha` derives ``n_cycles`` as
     ``round(pi / (2 alpha))``, the count that leaves the no-object exit
-    polarization within ``alpha/2`` of vertical.
+    polarization within ``alpha/2`` of vertical. Cycle counts above 2^53
+    are refused.
     """
 
     alpha: float
     n_cycles: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha) and 0.0 < self.alpha <= math.pi / 2):
-            raise ValueError(f"alpha must lie in (0, pi/2], got {self.alpha!r}")
-        if not (isinstance(self.n_cycles, int) and self.n_cycles >= 1):
-            raise ValueError(f"n_cycles must be a positive integer, got {self.n_cycles!r}")
+        object.__setattr__(self, "alpha", _rotation_angle(self.alpha))
+        object.__setattr__(self, "n_cycles", _cycle_count(self.n_cycles))
 
     @classmethod
     def from_alpha(cls, alpha: float) -> "ZenoParams":
-        if not (math.isfinite(alpha) and 0.0 < alpha <= math.pi / 2):
-            raise ValueError(f"alpha must lie in (0, pi/2], got {alpha!r}")
-        return cls(alpha=alpha, n_cycles=max(1, round(math.pi / (2.0 * alpha))))
+        cycles = math.pi / (2.0 * _rotation_angle(alpha))
+        if cycles > MAX_COUNT:
+            raise ValueError(f"alpha = {alpha!r} needs more than 2^53 rotation cycles")
+        return cls(alpha=alpha, n_cycles=max(1, round(cycles)))
 
     @property
     def vertical_misalignment(self) -> float:
@@ -75,6 +78,29 @@ class SchemeResult:
     metadata: dict = field(default_factory=dict)
 
 
+def _rotation_angle(alpha) -> float:
+    value = real_number("alpha", alpha)
+    if not (math.isfinite(value) and 0.0 < value <= math.pi / 2):
+        raise ValueError(f"alpha must lie in (0, pi/2], got {alpha!r}")
+    return value
+
+
+def _cycle_count(n_cycles) -> int:
+    """``n_cycles`` as an int in [1, 2^53]; any integer but a bool."""
+    if isinstance(n_cycles, bool) or not isinstance(n_cycles, numbers.Integral) or n_cycles < 1:
+        raise ValueError(f"n_cycles must be a positive integer, got {n_cycles!r}")
+    if n_cycles > MAX_COUNT:
+        raise ValueError("n_cycles must be at most 2^53")
+    return int(n_cycles)
+
+
+def _unit_interval(name: str, value) -> float:
+    v = real_number(name, value)
+    if not (math.isfinite(v) and 0.0 < v < 1.0):
+        raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
+    return v
+
+
 def _result(detect: float, hit: float, inconclusive: float, **metadata) -> SchemeResult:
     return SchemeResult(
         detect_no_hit_prob=detect,
@@ -100,9 +126,7 @@ def elitzur_vaidman(beam_splitter_reflectivity: float) -> SchemeResult:
     dark-port detection R(1-R), absorption 1-R, inconclusive R^2, and a
     long-run efficiency R/(1+R) that climbs toward 1/2 as R -> 1.
     """
-    r = beam_splitter_reflectivity
-    if not (isinstance(r, (int, float)) and math.isfinite(r) and 0.0 < r < 1.0):
-        raise ValueError(f"beam splitter reflectivity must lie in (0, 1), got {r!r}")
+    r = _unit_interval("beam splitter reflectivity", beam_splitter_reflectivity)
     return _result(detect=r * (1.0 - r), hit=1.0 - r, inconclusive=r * r)
 
 
@@ -113,8 +137,9 @@ def zeno_scheme(params: ZenoParams) -> SchemeResult:
     horizontal with probability cos^2(alpha), so after N cycles it exits
     horizontally polarized (identifying the object) with P = cos^{2N}(alpha)
     and is absorbed with Q = 1 - P. Without an object the rotations add
-    coherently and the photon exits vertically polarized with certainty;
-    that companion probability and the residual misalignment of the exit
+    coherently to N alpha, and the photon exits vertically polarized with
+    probability sin^2(N alpha), which is 1 only when N alpha = pi/2; that
+    companion probability and the residual misalignment of the exit
     polarization are reported in ``metadata``.
     """
     survive = _survival_after_cycles(params.alpha, params.n_cycles)
@@ -122,7 +147,7 @@ def zeno_scheme(params: ZenoParams) -> SchemeResult:
         detect=survive,
         hit=1.0 - survive,
         inconclusive=0.0,
-        no_object_exit_vertical_prob=1.0,
+        no_object_exit_vertical_prob=math.sin(params.n_cycles * params.alpha) ** 2,
         vertical_misalignment_rad=params.vertical_misalignment,
     )
 
@@ -135,10 +160,10 @@ def two_cavity_scheme(n_cycles: int) -> SchemeResult:
     cycles; with an object the transfer is interrupted each cycle and the
     photon stays put with P = cos^{2N}(pi/(2N)). The per-cycle coupling is a
     modeling choice, flagged as such in ``metadata``, and shares its
-    mathematics with :func:`zeno_scheme` at alpha = pi/(2N).
+    mathematics with :func:`zeno_scheme` at alpha = pi/(2N). Cycle counts
+    above 2^53 are refused.
     """
-    if not (isinstance(n_cycles, int) and n_cycles >= 1):
-        raise ValueError(f"n_cycles must be a positive integer, got {n_cycles!r}")
+    n_cycles = _cycle_count(n_cycles)
     theta = math.pi / (2.0 * n_cycles)
     survive = _survival_after_cycles(theta, n_cycles)
     return _result(
@@ -160,9 +185,6 @@ def resonator_opaque_scheme(r1: float, r2: float | None = None) -> SchemeResult:
     and therefore inconclusive). Used for side-by-side comparison with the
     rival schemes above.
     """
-    if r2 is None:
-        r2 = r1
-    for name, v in (("r1", r1), ("r2", r2)):
-        if not (isinstance(v, (int, float)) and math.isfinite(v) and 0.0 < v < 1.0):
-            raise ValueError(f"{name} must lie in (0, 1), got {v!r}")
+    r1 = _unit_interval("r1", r1)
+    r2 = r1 if r2 is None else _unit_interval("r2", r2)
     return _result(detect=r1, hit=r2 * (1.0 - r1), inconclusive=(1.0 - r1) * (1.0 - r2))

@@ -1,9 +1,8 @@
 """Derivative-free 1-D maximization by golden-section search.
 
-Used by the coupling search, whose floor-constrained objective is -inf
-wherever the floor fails, and by the grayness estimator, whose likelihood is
--inf wherever an observed outcome is impossible. Only function values are
-compared, so neither needs derivatives or finite values everywhere.
+Used only by the grayness estimator, whose likelihood is -inf wherever an
+observed outcome is impossible. Only function values are compared, so it
+needs neither derivatives nor finite values everywhere.
 """
 
 from __future__ import annotations

@@ -205,6 +205,8 @@ def efficiencies(params: DeviceParams, spec: WavePacketSpec | None = None) -> Ef
         ``tau = (1 - r1)(1 - r2) phi``.
     """
     phi, bound = compute_phi(params, spec)
-    eta = (1.0 - params.r1) * (1.0 - params.rho**2 * params.r2) * phi
+    # 1 - rho^2 r2, written so that it does not cancel when rho^2 r2 is near 1.
+    suppression = (1.0 - params.r2) + params.r2 * (1.0 - params.rho) * (1.0 + params.rho)
+    eta = (1.0 - params.r1) * suppression * phi
     tau = (1.0 - params.r1) * (1.0 - params.r2) * phi
     return EfficiencyReport(eta=eta, tau=tau, phi=phi, truncation_bound=bound)

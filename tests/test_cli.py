@@ -239,8 +239,23 @@ def test_optimize_symmetric_with_oracle(capsys):
     assert rc == 0
     results = json.loads(out)["results"]
     assert abs(results["r1_star"] - results["r2_star"]) <= 0.005
-    assert results["objective_gap"] <= 1e-4
-    assert 0.5 < results["r1_star"] < 0.9999
+    assert results["objective_gap"] == 0.0
+    assert (results["r1_star"], results["r2_star"]) == (0.5001, 0.5001)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["schemes", "--zeno-alpha-deg", "1e-320"],
+        ["schemes", "--two-cavity", "1" + "0" * 400],
+        ["estimate-gray", "--counts", "9" * 330 + ",5,0,0,0"],
+    ],
+    ids=["zeno-alpha", "two-cavity", "estimate-gray-counts"],
+)
+def test_counts_beyond_2_pow_53_exit_code(argv, capsys):
+    rc, _, err = run_cli(argv, capsys)
+    assert rc == 2
+    assert "2^53" in err
 
 
 def test_optimize_infeasible_exit_code(capsys):

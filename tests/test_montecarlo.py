@@ -226,6 +226,15 @@ def test_grayness_impossible_counts_raise(params, det_eff, outcome):
         estimate_grayness(stats, params, None, det_eff)
 
 
+def test_grayness_counts_capped_at_2_pow_53():
+    counts = {o: 0 for o in TrialOutcome}
+    counts[TrialOutcome.REFLECTED_DETECTOR] = 10**330 - 1
+    counts[TrialOutcome.TRANSMITTED_DETECTOR] = 5
+    stats = TrialStatistics(counts=counts, n_trials=10**330 + 4, seed=0)
+    with pytest.raises(ValueError, match=r"2\^53"):
+        estimate_grayness(stats, BENCH)
+
+
 def test_detector_efficiency_validation():
     with pytest.raises(ValueError):
         outcome_distribution(BENCH, None, ObjectModel.absent(), 0.0)

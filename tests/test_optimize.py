@@ -111,6 +111,32 @@ def test_constrained_objective_feasible_floor():
     report = efficiencies(DeviceParams(best.r1_star, best.r2_star, 0.9999, 500.0))
     assert report.eta >= 0.995
     assert abs(report.tau - best.objective_value) < 1e-9
+    # the corner meets this floor, and it maximizes tau over the whole box
+    assert (best.r1_star, best.r2_star) == (0.5001, 0.5001)
+
+
+def test_max_min_optimum_is_the_lower_corner():
+    """The coordinate search of earlier versions stalled at (0.50448, 0.50437)."""
+    best = optimize_coupling(0.9999, 500.0)
+    assert (best.r1_star, best.r2_star) == (0.5001, 0.5001)
+    assert best.objective_value == 0.9997959496545001
+    assert best.objective_value == efficiencies(DeviceParams(0.5001, 0.5001, 0.9999, 500.0)).tau
+
+
+@pytest.mark.parametrize("rho,a,eta_floor", [(0.5, 100.0, 0.8135), (0.9, 10.0, 0.988983)])
+def test_binding_floor_beats_every_grid_cell(rho, a, eta_floor):
+    corner = efficiencies(DeviceParams(0.5001, 0.5001, rho, a))
+    assert corner.eta < eta_floor  # the floor binds
+    best = optimize_coupling(rho, a, MAX_TAU_WITH_ETA_FLOOR, eta_floor)
+    report = efficiencies(DeviceParams(best.r1_star, best.r2_star, rho, a))
+    assert report.eta >= eta_floor
+    assert best.objective_value == report.tau
+    assert 0.5 < best.r1_star < 0.9999 and 0.5 < best.r2_star < 0.9999
+    near = brute_force_coupling(rho, a, MAX_TAU_WITH_ETA_FLOOR, eta_floor,
+                                center=(best.r1_star, best.r2_star))
+    whole_box = brute_force_coupling(rho, a, MAX_TAU_WITH_ETA_FLOOR, eta_floor, resolution=0.005)
+    assert best.objective_value >= near.objective_value - 1e-12
+    assert best.objective_value >= whole_box.objective_value - 1e-12
 
 
 def test_constrained_objective_infeasible_floor():

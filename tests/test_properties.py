@@ -34,3 +34,24 @@ def test_efficiency_order_property(r1, r2, rho, a):
 @hypothesis.given(r1=_unit, r2=_unit, rho=_rho, a=_a)
 def test_phi_symmetric_in_couplings_property(r1, r2, rho, a):
     assert compute_phi(DeviceParams(r1, r2, rho, a)) == compute_phi(DeviceParams(r2, r1, rho, a))
+
+
+_rho_positive = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+_box = st.floats(min_value=0.5001, max_value=0.9998)
+_a_design = st.floats(min_value=0.3, max_value=1e4)
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(r1=_box, r2=_box, rho=_rho_positive, a=_a_design)
+@hypothesis.example(r1=0.5002, r2=0.5001, rho=1.0, a=1e4)  # tau is nearly flat here
+def test_lower_corner_maximizes_tau_property(r1, r2, rho, a):
+    """The theorem behind optimize_coupling's max-min answer (see ifmsim.optimize)."""
+    corner = DeviceParams(0.5001, 0.5001, rho, a)
+    point = DeviceParams(r1, r2, rho, a)
+    best, other = efficiencies(corner), efficiencies(point)
+    # Each tau carries its phi bound, the rounding of c (up to 5 u / (1 - c)
+    # through phi) and a few roundings of its prefactor.
+    slack = best.truncation_bound + other.truncation_bound + UNIT_ROUNDOFF * (
+        5.0 / (1.0 - corner.feedback_amplitude) + 5.0 / (1.0 - point.feedback_amplitude) + 16.0
+    )
+    assert other.tau <= best.tau * (1.0 + slack)

@@ -60,6 +60,49 @@ def test_zeno_params_validation():
         ZenoParams(alpha=0.1, n_cycles=0)
 
 
+@pytest.mark.parametrize(
+    "make,accepted",
+    [
+        (lambda: ZenoParams(alpha=True, n_cycles=1), False),
+        (lambda: ZenoParams(alpha=0.1, n_cycles=True), False),
+        (lambda: ZenoParams(alpha=0.1, n_cycles=3.0), False),
+        (lambda: ZenoParams(alpha=1e-3, n_cycles=2**53 + 1), False),
+        (lambda: ZenoParams.from_alpha(1e-320), False),
+        (lambda: two_cavity_scheme(True), False),
+        (lambda: two_cavity_scheme(10**400), False),
+        (lambda: elitzur_vaidman(True), False),
+        (lambda: resonator_opaque_scheme(0.9, True), False),
+        (lambda: ZenoParams(alpha=np.float64(0.1), n_cycles=np.int64(3)), True),
+        (lambda: ZenoParams.from_alpha(np.float32(0.1)), True),
+        (lambda: two_cavity_scheme(np.int64(5)), True),
+        (lambda: two_cavity_scheme(2**53), True),
+        (lambda: elitzur_vaidman(np.float32(0.5)), True),
+        (lambda: resonator_opaque_scheme(np.float32(0.9), np.float64(0.8)), True),
+    ],
+    ids=[
+        "zeno-bool-alpha", "zeno-bool-cycles", "zeno-float-cycles", "zeno-cycles-over-2^53",
+        "zeno-alpha-needs-over-2^53", "two-cavity-bool", "two-cavity-10^400", "ev-bool",
+        "opaque-bool", "zeno-numpy", "zeno-from-numpy-alpha", "two-cavity-numpy",
+        "two-cavity-2^53", "ev-float32", "opaque-numpy",
+    ],
+)
+def test_scheme_input_validation(make, accepted):
+    if accepted:
+        make()
+    else:
+        with pytest.raises(ValueError):
+            make()
+
+
+@pytest.mark.parametrize("alpha_deg,n_cycles,vertical", [(50.0, 2, 0.96985), (0.7, 129, 0.99997)])
+def test_zeno_no_object_exit_probability(alpha_deg, n_cycles, vertical):
+    params = ZenoParams.from_alpha(math.radians(alpha_deg))
+    assert params.n_cycles == n_cycles
+    prob = zeno_scheme(params).metadata["no_object_exit_vertical_prob"]
+    assert prob == pytest.approx(vertical, abs=5e-6)
+    assert prob == math.sin(n_cycles * params.alpha) ** 2
+
+
 def test_zeno_one_degree_hit_probability():
     result = zeno_scheme(ZenoParams.from_alpha(math.radians(1.0)))
     assert abs(result.hit_prob - 0.03) <= 0.005

@@ -80,6 +80,18 @@ def test_phi_matches_mpmath_within_truncation_bound(one_minus_c, a, tail):
     assert elapsed < 0.05  # generous for a loaded host; typically ~2 ms at the cap
 
 
+def test_eta_prefactor_does_not_cancel():
+    """1 - rho^2 r2 cancels at rho^2 r2 near 1; the naive form is off by 1.75e-10 here."""
+    mpmath = pytest.importorskip("mpmath")
+    params = DeviceParams(0.5, 1.0 - 1e-9, 1.0 - 1e-10, 500.0)
+    report = efficiencies(params)
+    with mpmath.workdps(30):
+        r1, r2, rho = (mpmath.mpf(v) for v in (params.r1, params.r2, params.rho))
+        exact = (1 - r1) * (1 - rho**2 * r2) * mpmath_phi(params.feedback_amplitude, params.a)
+        error = float(abs((report.eta - exact) / exact))
+    assert error <= report.truncation_bound + 4 * 2.0**-53
+
+
 def test_phi_bounded_memory_at_extreme_input():
     params = DeviceParams(1.0 - 1e-15, 1.0 - 1e-15, 1.0, a=1e300)
     tracemalloc.start()
