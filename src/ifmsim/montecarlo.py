@@ -136,11 +136,13 @@ def outcome_distribution(
     """Analytic probability of each :class:`TrialOutcome` for one testing.
 
     The wave-packet efficiencies evaluated at ``rho_eff = rho * sqrt(g)``
-    give the detector-reach probabilities 1 - eta and tau; the remaining
-    mass eta - tau is split between ObjectHit and Lost in the object-first
-    per-round-trip proportion (1 - g) : g (1 - rho^2); detector
-    inefficiency then thins both detector outcomes into NoDetection. The
-    returned probabilities sum to 1 within 1e-12.
+    give the detector-reach probabilities 1 - eta and tau. The remaining mass
+    ``eta - tau = (1 - r1) r2 (1 - g rho^2) phi`` splits in the object-first
+    per-round-trip proportion into ObjectHit ``(1 - r1) r2 (1 - g) phi`` and
+    Lost ``(1 - r1) r2 g (1 - rho^2) phi``, each formed without subtracting
+    near-equal numbers. Detector inefficiency then thins both detector
+    outcomes into NoDetection. The returned probabilities sum to 1 within
+    1e-12.
     """
     _validate_efficiency(detector_efficiency)
     g = target.grayness
@@ -149,19 +151,9 @@ def outcome_distribution(
 
     reached_r = 1.0 - report.eta
     reached_t = report.tau
-    undetected = report.eta - report.tau
-
-    w_hit = 1.0 - g
-    w_lost = g * (1.0 - params.rho**2)
-    w_sum = w_hit + w_lost
-    if w_sum > 0.0:
-        hit = undetected * (w_hit / w_sum)
-        lost = undetected * (w_lost / w_sum)
-    else:
-        # g = 1 with a lossless ring: eta = tau exactly, so nothing is
-        # undetected; Lost takes the (zero) residual.
-        hit = 0.0
-        lost = undetected
+    leaked = (1.0 - params.r1) * params.r2 * report.phi
+    hit = leaked * (1.0 - g)
+    lost = leaked * g * (1.0 - params.rho) * (1.0 + params.rho)
 
     e = detector_efficiency
     return {

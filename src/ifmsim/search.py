@@ -1,7 +1,8 @@
 """Derivative-free 1-D maximization by golden-section search.
 
-Used only by the grayness estimator, whose likelihood is -inf wherever an
-observed outcome is impossible. Only function values are compared, so it
+Used by the grayness estimator, whose likelihood is -inf wherever an
+observed outcome is impossible, and by the coupling design, for the peak of
+eta along the box edge r1 = lo. Only function values are compared, so it
 needs neither derivatives nor finite values everywhere.
 """
 

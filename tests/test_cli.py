@@ -265,6 +265,17 @@ def test_optimize_infeasible_exit_code(capsys):
     assert rc == 6
 
 
+def test_optimize_finds_narrow_feasible_stretch(capsys):
+    """The former s-scan stepped over this feasible stretch and exited 6."""
+    rc, out, _ = run_cli(
+        ["optimize", "--rho", "0.9957912024966665", "--a", "34.17479774624492",
+         "--objective", "tau-floor", "--eta-floor", "0.9991379777978913", "--format", "json"],
+        capsys,
+    )
+    assert rc == 0
+    assert json.loads(out)["results"]["r1_star"] == 0.5001
+
+
 def test_config_file_merging(tmp_path, capsys):
     config = tmp_path / "run.cfg"
     config.write_text("# device settings\nr1 = 0.5\nr2 = 0.5\nrho = 1.0\nformat = json\n")

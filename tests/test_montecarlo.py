@@ -15,6 +15,8 @@ from ifmsim import (
     run_trials,
 )
 
+from _oracles import mpmath_phi
+
 BENCH = DeviceParams(r1=0.98, r2=0.98, rho=0.9999, a=500.0)
 
 
@@ -113,6 +115,20 @@ def test_hit_probability_limits():
     assert abs(opaque[TrialOutcome.OBJECT_HIT] - 0.98 * 0.02) < 1e-12
     empty = outcome_distribution(lossless, None, ObjectModel.absent())
     assert empty[TrialOutcome.OBJECT_HIT] == 0.0
+
+
+def test_hit_and_lost_match_mpmath():
+    """Forming 1 - rho^2 as a difference put a 5e-13 relative error on Lost here."""
+    mpmath = pytest.importorskip("mpmath")
+    params, g = DeviceParams(0.98, 0.98, 1.0 - 1e-12, 500.0), 0.5
+    dist = outcome_distribution(params, None, ObjectModel(g))
+    with mpmath.workdps(40):
+        r1, r2, rho, g = (mpmath.mpf(v) for v in (params.r1, params.r2, params.rho, g))
+        leaked = (1 - r1) * r2 * mpmath_phi(rho * mpmath.sqrt(g * r1 * r2), params.a, dps=40)
+        exact = {TrialOutcome.OBJECT_HIT: leaked * (1 - g),
+                 TrialOutcome.LOST: leaked * g * (1 - rho**2)}
+        for outcome, value in exact.items():
+            assert abs(dist[outcome] - value) <= 1e-14 * value
 
 
 def test_run_trials_deterministic():

@@ -27,6 +27,9 @@ from ifmsim.resonator import DeviceParams
         dict(r_values=(0.9,), rho_values=(0.999, 1.001)),
         dict(r_values=(0.9,), rho_values=(0.0,)),
         dict(r_values=(0.9,), rho_values=(0.999,), a=0.0),
+        dict(r_values=("0.5",), rho_values=(0.999,)),
+        dict(r_values=(0.5,), rho_values=(True,)),
+        dict(r_values=(0.5,), rho_values=(0.999,), a=True),
     ],
 )
 def test_sweep_grid_validation(kwargs):
@@ -83,8 +86,7 @@ def test_optimizer_stays_inside_box():
 
 def test_optimizer_improves_on_coarse_grid():
     refined = optimize_coupling(rho=0.9999, a=500.0)
-    # the symmetric diagonal is a subset of the scan lattice, so its best
-    # value bounds the coarse stage from below
+    # the corner answer must beat every cell of a coarse diagonal grid
     best_diagonal = -1.0
     for k in range(99):
         r = 0.505 + 0.005 * k
@@ -163,3 +165,83 @@ def test_brute_force_agrees_with_refined_search():
         halfwidth=0.01, resolution=0.0005,
     )
     assert abs(refined.objective_value - oracle.objective_value) <= 1e-4
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(rho="0.9", a=500.0),
+        dict(rho=0.9, a=500.0, objective=MAX_TAU_WITH_ETA_FLOOR, eta_floor="0.5"),
+    ],
+)
+def test_optimizer_input_validation(kwargs):
+    with pytest.raises(ValueError):
+        optimize_coupling(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "window",
+    [
+        dict(center=(0.2, 0.2)),  # used to scan (0.21, 0.21), outside the box
+        dict(center=(0.6, 0.9), halfwidth=-0.1),  # used to scan [0.7, 0.8]
+        dict(center=(0.9, math.nan)),
+        dict(center=(0.9, 0.9), halfwidth=math.nan),
+        dict(resolution=0.0),  # used to raise ZeroDivisionError
+        dict(resolution=math.nan),
+        dict(resolution=-0.01),
+    ],
+)
+def test_brute_force_rejects_bad_window(window):
+    with pytest.raises(ValueError):
+        brute_force_coupling(0.9999, 500.0, **window)
+
+
+# A feasible stretch of r2 narrower than the former s-scan step: that scan
+# raised InfeasibleObjectiveError here.
+NARROW = (0.9957912024966665, 34.17479774624492, MAX_TAU_WITH_ETA_FLOOR, 0.9991379777978913)
+
+
+def test_narrow_feasible_stretch_is_found():
+    rho, a, _, eta_floor = NARROW
+    best = optimize_coupling(*NARROW)
+    assert best.r1_star == 0.5001
+    assert abs(best.r2_star - 0.50162366) < 1e-8
+    report = efficiencies(DeviceParams(best.r1_star, best.r2_star, rho, a))
+    assert report.eta >= eta_floor and best.objective_value == report.tau
+    near = brute_force_coupling(*NARROW, center=(best.r1_star, best.r2_star))
+    whole_box = brute_force_coupling(*NARROW, resolution=0.005)
+    assert best.objective_value >= near.objective_value - 1e-12
+    assert best.objective_value >= whole_box.objective_value - 1e-12
+
+
+def test_binding_floor_call_count(monkeypatch):
+    """The golden-section tol (1e-12) sits far above the ulp of r2, so both loops end.
+
+    At most: the corner and the edge's top; 2 + 56 golden-section probes
+    (0.618^56 * 0.5 < 1e-12); the peak again; 53 bisection steps to adjacent
+    floats in [0.5, 1).
+    """
+    import ifmsim.optimize as optimize
+
+    calls = []
+    monkeypatch.setattr(optimize, "efficiencies",
+                        lambda *args: calls.append(args) or efficiencies(*args))
+    optimize_coupling(*NARROW)
+    assert len(calls) <= 2 + 58 + 1 + 53
+
+
+def test_floor_above_corner_raises_when_edge_is_corner(monkeypatch):
+    """At rho = 1, top = lo / rho^2 = lo: the corner is the box's eta maximum."""
+    import ifmsim.optimize as optimize
+
+    monkeypatch.setattr(optimize, "golden_section_max", None)  # must not be called
+    corner = efficiencies(DeviceParams(0.5001, 0.5001, 1.0, 500.0))
+    with pytest.raises(InfeasibleObjectiveError):
+        optimize_coupling(1.0, 500.0, MAX_TAU_WITH_ETA_FLOOR, math.nextafter(corner.eta, 1.0))
+
+
+def test_edge_two_ulps_long():
+    """Just below rho = 1 the edge [lo, top] spans two ulps, under the golden-section tol."""
+    rho = math.nextafter(1.0, 0.0)
+    with pytest.raises(InfeasibleObjectiveError):
+        optimize_coupling(rho, 500.0, MAX_TAU_WITH_ETA_FLOOR, 1.0 - 1e-7)
